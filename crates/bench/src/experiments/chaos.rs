@@ -1,19 +1,23 @@
-//! [extension] Chaos search: randomized fault plans judged by the
-//! safety/liveness oracles, with automatic shrinking of any failure and a
-//! threaded-runtime parity leg.
+//! [extension] Chaos search: randomized fault plans judged by the chaos
+//! oracle, with automatic shrinking of any failure and a threaded-runtime
+//! parity leg.
 
-use super::cell;
+use super::{lineup_sweep, ChaosCell};
 use crate::output::ExperimentOutput;
 use prophet::core::SchedulerKind;
 use prophet::net::RetryPolicy;
-use prophet::ps::sim::run_cluster;
 use prophet::ps::threaded::{run_threaded_training, ThreadedConfig};
-use prophet::ps::{check_plan, run_sim_checked, OracleBudget};
-use prophet::sim::{plan_to_rust, shrink, ChaosGen, ChaosProfile, Duration};
+use prophet::ps::{check_threaded_bit_identity, OracleBudget};
+use prophet::sim::{ChaosGen, ChaosProfile, Duration, KindMask};
 
-/// Iterations per simulated chaos run (plus one warm-up), matching the
-/// pinned golden cell so fault-free durations are known-good.
-const SIM_ITERS: u64 = 3;
+/// Transient plans on 2 workers and one shard, 3 iterations per run: the
+/// pinned golden cell, so fault-free durations are known-good.
+const CELL: ChaosCell = ChaosCell {
+    workers: 2,
+    shards: 1,
+    iters: 3,
+    kinds: KindMask::ALL,
+};
 
 /// Plans replayed on the threaded runtime per scheduler: enough to exercise
 /// every fault kind across the lineup without dominating wall clock.
@@ -25,12 +29,12 @@ pub fn ext_chaos() -> ExperimentOutput {
     run_chaos(42, 8)
 }
 
-/// The chaos search: per scheduler in the paper lineup, run `budget`
-/// generated plans through the simulator and judge each against the
-/// fault-free golden with [`check_plan`]; then replay a fixed sample of
-/// generated plans on the threaded runtime and require bit-identical final
-/// parameters. Oracle violations are shrunk to minimal reproducers and
-/// printed as copy-pasteable pinned tests.
+/// The chaos search: per scheduler in the paper lineup,
+/// [`prophet::ps::sweep`] `budget` transient plans through the simulator
+/// (violations are shrunk to minimal reproducers and printed as
+/// copy-pasteable pinned tests); then replay a fixed sample of generated
+/// plans on the threaded runtime and require bit-identical final
+/// parameters.
 pub fn run_chaos(seed: u64, budget: usize) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "ext_chaos",
@@ -53,82 +57,35 @@ pub fn run_chaos(seed: u64, budget: usize) -> ExperimentOutput {
         ],
     );
 
-    let oracle = OracleBudget::paper_default();
-    for kind in SchedulerKind::paper_lineup(1.25e9) {
-        let label = kind.label().to_string();
-        let mut base = cell("resnet18", 16, 2, 10.0, kind);
-        base.warmup_iters = 1;
-        base.check_invariants = true;
-        let golden = run_cluster(&base, SIM_ITERS);
-        // Horizon = the fault-free duration: every plan can land mid-run.
-        let horizon = Duration::from_nanos(golden.duration.as_nanos());
-        let profile = ChaosProfile::for_cluster(base.workers, base.ps_shards, horizon);
-        let mut gen = ChaosGen::new(seed);
-
-        let mut violations = 0usize;
-        let mut slowdowns: Vec<f64> = Vec::with_capacity(budget);
-        for _ in 0..budget {
-            let plan = gen.next_plan(&profile);
-            let mut faulted = base.clone();
-            faulted.fault_plan = plan.clone();
-            let outcome = run_sim_checked(&faulted, SIM_ITERS);
-            let verdict = check_plan(&golden, &outcome, &plan, &oracle);
-            slowdowns.push(verdict.slowdown);
-            if !verdict.ok() {
-                violations += 1;
-                eprintln!(
-                    "[ext_chaos] {label}: oracle violation: {:?}",
-                    verdict.violations
-                );
-                // Shrink while the oracle still fires, then emit the minimal
-                // plan as a pinned test body.
-                let small = shrink(&plan, |cand| {
-                    let mut c = base.clone();
-                    c.fault_plan = cand.clone();
-                    let o = run_sim_checked(&c, SIM_ITERS);
-                    !check_plan(&golden, &o, cand, &oracle).ok()
-                });
-                eprintln!(
-                    "[ext_chaos] {label}: shrunk reproducer \
-                     ({} of {} specs survive):\n{}",
-                    small.faults.len(),
-                    plan.faults.len(),
-                    plan_to_rust(&small)
-                );
-            }
-        }
-
+    lineup_sweep(&mut out, &CELL, seed, budget, |kind, records| {
         // Threaded parity leg: the same seeded generator (scaled to the
         // threaded run's wall clock) must not change what is computed.
-        let (replayed, identical) = threaded_parity(seed, base.scheduler.clone());
-
-        let finite: Vec<f64> = slowdowns
+        let (replayed, identical) = threaded_parity(seed, kind);
+        let mut sorted: Vec<f64> = records
             .iter()
-            .copied()
+            .map(|r| r.verdict.slowdown)
             .filter(|s| s.is_finite())
             .collect();
-        let mut sorted = finite.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite slowdowns"));
         let fmt = |x: Option<&f64>| x.map_or("-".to_string(), |v| format!("{v:.2}"));
-        out.row(vec![
-            label,
-            budget.to_string(),
-            violations.to_string(),
+        vec![
             fmt(sorted.first()),
             fmt(sorted.get(sorted.len() / 2)),
             fmt(sorted.last()),
             replayed.to_string(),
             identical.to_string(),
-        ]);
-    }
+        ]
+    });
+    let oracle = OracleBudget::paper_default();
     out.notes = format!(
-        "Seed {seed}, {budget} plans per strategy, oracle budget: {:.1}x \
-         liveness, {:?} degraded grace. `slowdown` is faulted over fault-free \
-         simulated duration. The threaded column counts replayed plans whose \
-         final parameters were bit-identical to a fault-free threaded run — \
-         loss, crash, stall and link faults may cost time, never correctness. \
-         Violations (if any) are shrunk to minimal plans and printed as \
-         pinned-test source on stderr.",
+        "Seed {seed}, {budget} plans per strategy, each run twice (the second \
+         run is the replay), oracle budget: {:.1}x liveness, {:?} degraded \
+         grace. `slowdown` is faulted over fault-free simulated duration. The \
+         threaded column counts replayed plans whose final parameters were \
+         bit-identical to a fault-free threaded run — loss, crash, stall and \
+         link faults may cost time, never correctness. Violations (if any) \
+         are shrunk to minimal plans and printed as pinned-test source on \
+         stderr.",
         oracle.liveness_multiple, oracle.degraded_grace
     );
     out
@@ -151,15 +108,14 @@ fn threaded_parity(seed: u64, kind: SchedulerKind) -> (usize, usize) {
     };
     let clean = run_threaded_training(&mk(Default::default()));
     // Horizon sized to the threaded run's wall clock so windows land mid-run.
-    let profile = ChaosProfile::for_cluster(2, 1, Duration::from_millis(60));
+    let profile = ChaosProfile::new(KindMask::ALL, 2, 1, Duration::from_millis(60), 0);
     let mut gen = ChaosGen::new(seed);
-    let mut identical = 0;
-    for _ in 0..THREADED_REPLAYS {
-        let faulted = run_threaded_training(&mk(gen.next_plan(&profile)));
-        if faulted.final_params == clean.final_params {
-            identical += 1;
-        }
-    }
+    let identical = (0..THREADED_REPLAYS)
+        .filter(|_| {
+            let faulted = run_threaded_training(&mk(gen.next_plan(&profile)));
+            check_threaded_bit_identity(&clean, &faulted).is_empty()
+        })
+        .count();
     (THREADED_REPLAYS, identical)
 }
 

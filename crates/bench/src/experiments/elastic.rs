@@ -1,19 +1,22 @@
 //! [extension] Elastic membership: churn plans (permanent worker/shard
-//! failures + admissions) judged by the deterministic-recovery oracles,
-//! with recovery cost accounting per scheduler and a threaded-runtime
-//! determinism leg.
+//! failures + admissions) judged by the chaos oracle, with recovery cost
+//! accounting per scheduler and a threaded-runtime determinism leg.
 
-use super::cell;
+use super::{lineup_sweep, median, ChaosCell};
 use crate::output::ExperimentOutput;
 use prophet::core::SchedulerKind;
-use prophet::ps::sim::run_cluster;
+use prophet::ps::check_threaded_bit_identity;
 use prophet::ps::threaded::{run_threaded_training, ThreadedConfig};
-use prophet::ps::{check_churn_plan, run_sim_checked, OracleBudget};
-use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec};
+use prophet::sim::{FaultPlan, FaultSpec, KindMask};
 
-/// Iterations per simulated churn run (plus one warm-up): enough room for
-/// a mid-run epoch and the post-epoch re-plan to both land.
-const SIM_ITERS: u64 = 6;
+/// Transient and permanent plans on 3 workers and 2 shards, 6 iterations
+/// per run: room for a mid-run epoch and the post-epoch re-plan to land.
+const CELL: ChaosCell = ChaosCell {
+    workers: 3,
+    shards: 2,
+    iters: 6,
+    kinds: KindMask::EVERYTHING,
+};
 
 /// Registry entry: a small fixed-seed sweep so `repro all` stays fast.
 /// `repro ext_elastic <seed> [budget]` runs the same sweep at any scale.
@@ -21,24 +24,14 @@ pub fn ext_elastic() -> ExperimentOutput {
     run_elastic(42, 8)
 }
 
-/// Median of a sorted-on-demand sample, rendered with `fmt`.
-fn median<T: Copy + Ord>(xs: &mut [T], fmt: impl Fn(T) -> String) -> String {
-    if xs.is_empty() {
-        return "-".to_string();
-    }
-    xs.sort_unstable();
-    fmt(xs[xs.len() / 2])
-}
-
-/// The elastic sweep: per scheduler in the paper lineup, run `budget`
-/// churn plans (each twice — the second run is the recovery-contract
-/// replay) through the simulator, judge every pair with
-/// [`check_churn_plan`], and aggregate the recovery cost the elastic layer
-/// accounted: time from shard death to re-homed state served, bytes of
-/// in-flight work lost at the death, bytes restored from checkpoint +
-/// ledger, and scheduler re-plans forced by membership epochs. A threaded
-/// leg replays a fixed churn plan and requires bit-identical parameters
-/// across reruns.
+/// The elastic sweep: per scheduler in the paper lineup,
+/// [`prophet::ps::sweep`] `budget` churn plans (transient and permanent
+/// kinds) through the simulator, and aggregate the recovery cost the
+/// elastic layer accounted: time from shard death to re-homed state served,
+/// bytes of in-flight work lost at the death, bytes restored from
+/// checkpoint + ledger, and scheduler re-plans forced by membership epochs.
+/// A threaded leg replays a fixed churn plan and requires bit-identical
+/// parameters across reruns.
 pub fn run_elastic(seed: u64, budget: usize) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "ext_elastic",
@@ -63,61 +56,29 @@ pub fn run_elastic(seed: u64, budget: usize) -> ExperimentOutput {
         ],
     );
 
-    let oracle = OracleBudget::paper_default();
-    for kind in SchedulerKind::paper_lineup(1.25e9) {
-        let label = kind.label().to_string();
-        let mut base = cell("resnet18", 16, 3, 10.0, kind.clone());
-        base.ps_shards = 2;
-        base.warmup_iters = 1;
-        base.check_invariants = true;
-        let golden = run_cluster(&base, SIM_ITERS);
-        let horizon = Duration::from_nanos(golden.duration.as_nanos());
-        let profile = ChaosProfile::churn(base.workers, base.ps_shards, horizon, SIM_ITERS);
-        let mut gen = ChaosGen::new(seed);
-
-        let mut violations = 0usize;
+    lineup_sweep(&mut out, &CELL, seed, budget, |kind, records| {
         let mut recovery_ns: Vec<u64> = Vec::new();
         let mut lost_work: Vec<u64> = Vec::new();
         let mut restored: Vec<u64> = Vec::new();
         let mut replans_total = 0u64;
-        for _ in 0..budget {
-            let plan = gen.next_plan(&profile);
-            let mut churned = base.clone();
-            churned.fault_plan = plan.clone();
-            let outcome = run_sim_checked(&churned, SIM_ITERS);
-            let rerun = run_sim_checked(&churned, SIM_ITERS);
-            let verdict = check_churn_plan(&golden, &outcome, &rerun, &oracle);
-            if !verdict.ok() {
-                violations += 1;
-                eprintln!(
-                    "[ext_elastic] {label}: contract violation: {:?}\nplan: {plan:?}",
-                    verdict.violations
-                );
+        for (_, e) in records.iter().filter_map(|r| r.counters.as_ref()) {
+            if e.failed_shards > 0 {
+                recovery_ns.push(e.recovery_ns);
+                lost_work.push(e.lost_work_bytes);
+                restored.push(e.restore_bytes);
             }
-            if let Ok(r) = &outcome {
-                let e = &r.elastic;
-                if e.failed_shards > 0 {
-                    recovery_ns.push(e.recovery_ns);
-                    lost_work.push(e.lost_work_bytes);
-                    restored.push(e.restore_bytes);
-                }
-                replans_total += e.replans;
-            }
+            replans_total += e.replans;
         }
-
         let (reruns, identical) = threaded_determinism(kind);
-        out.row(vec![
-            label,
-            budget.to_string(),
-            violations.to_string(),
+        vec![
             median(&mut recovery_ns, |ns| format!("{:.2}", ns as f64 / 1e6)),
             median(&mut lost_work, |b| format!("{:.1}", b as f64 / 1024.0)),
             median(&mut restored, |b| format!("{:.1}", b as f64 / 1024.0)),
             replans_total.to_string(),
             reruns.to_string(),
             identical.to_string(),
-        ]);
-    }
+        ]
+    });
     out.notes = format!(
         "Seed {seed}, {budget} churn plans per strategy, each run twice (the \
          second run is the recovery-contract replay; any divergence is a \
@@ -154,13 +115,9 @@ fn threaded_determinism(kind: SchedulerKind) -> (usize, usize) {
         },
     ]);
     let first = run_threaded_training(&cfg);
-    let mut identical = 0;
-    for _ in 0..RERUNS {
-        let again = run_threaded_training(&cfg);
-        if again.final_params == first.final_params && again.losses == first.losses {
-            identical += 1;
-        }
-    }
+    let identical = (0..RERUNS)
+        .filter(|_| check_threaded_bit_identity(&first, &run_threaded_training(&cfg)).is_empty())
+        .count();
     (RERUNS, identical)
 }
 

@@ -1,23 +1,25 @@
 //! [extension] End-to-end data integrity: silent-corruption plans
 //! (bit-flipped/truncated wire frames, NaN-poisoned gradients, corrupted
-//! checkpoint snapshots) judged by the integrity oracles, with detection
+//! checkpoint snapshots) judged by the chaos oracle, with detection
 //! and recovery cost accounting per scheduler and threaded-runtime
 //! bit-identity legs.
 
-use super::cell;
+use super::{lineup_sweep, median, ChaosCell};
 use crate::output::ExperimentOutput;
 use prophet::core::SchedulerKind;
-use prophet::ps::sim::run_cluster;
+use prophet::ps::check_threaded_bit_identity;
 use prophet::ps::threaded::{run_threaded_training, ThreadedConfig, ThreadedResult};
-use prophet::ps::{
-    check_corruption_plan, check_threaded_bit_identity, run_sim_checked, OracleBudget,
-};
-use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec, SimTime};
+use prophet::sim::{Duration, FaultPlan, FaultSpec, KindMask, SimTime};
 
-/// Iterations per simulated corruption run (plus one warm-up): enough
+/// Corruption plans on 3 workers and 2 shards, 6 iterations per run: enough
 /// checkpoint cadence rounds for a poisoned snapshot and the shard death
 /// that exposes it to both land.
-const SIM_ITERS: u64 = 6;
+const CELL: ChaosCell = ChaosCell {
+    workers: 3,
+    shards: 2,
+    iters: 6,
+    kinds: KindMask::CORRUPTION,
+};
 
 /// Registry entry: a small fixed-seed sweep so `repro all` stays fast.
 /// `repro ext_integrity <seed> [budget]` runs the same sweep at any scale.
@@ -25,25 +27,15 @@ pub fn ext_integrity() -> ExperimentOutput {
     run_integrity(42, 8)
 }
 
-/// Median of a sorted-on-demand sample, rendered with `fmt`.
-fn median<T: Copy + Ord>(xs: &mut [T], fmt: impl Fn(T) -> String) -> String {
-    if xs.is_empty() {
-        return "-".to_string();
-    }
-    xs.sort_unstable();
-    fmt(xs[xs.len() / 2])
-}
-
-/// The integrity sweep: per scheduler in the paper lineup, run `budget`
-/// corruption plans (each twice — the second run is the deterministic-
-/// detection replay) through the simulator, judge every pair with
-/// [`check_corruption_plan`], and aggregate what the integrity layer
-/// accounted: frames caught by checksum verify, snapshots written corrupt,
-/// restores that fell back past them, and generations skipped. Two
-/// threaded legs per scheduler replay a wire-corruption plan and a
-/// forced-fallback plan on the real runtime and hold the final model to
-/// **bit-identity** with its fault-free twin — the "no corrupt byte ever
-/// reaches the accumulator or restored params" oracle on real bytes.
+/// The integrity sweep: per scheduler in the paper lineup,
+/// [`prophet::ps::sweep`] `budget` corruption plans through the simulator,
+/// and aggregate what the integrity layer accounted: frames caught by
+/// checksum verify, snapshots written corrupt, restores that fell back past
+/// them, and generations skipped. Two threaded legs per scheduler replay a
+/// wire-corruption plan and a forced-fallback plan on the real runtime and
+/// hold the final model to **bit-identity** with its fault-free twin — the
+/// "no corrupt byte ever reaches the accumulator or restored params" oracle
+/// on real bytes.
 pub fn run_integrity(seed: u64, budget: usize) -> ExperimentOutput {
     let mut out = ExperimentOutput::new(
         "ext_integrity",
@@ -72,48 +64,17 @@ pub fn run_integrity(seed: u64, budget: usize) -> ExperimentOutput {
         ],
     );
 
-    let oracle = OracleBudget::paper_default();
-    for kind in SchedulerKind::paper_lineup(1.25e9) {
-        let label = kind.label().to_string();
-        let mut base = cell("resnet18", 16, 3, 10.0, kind.clone());
-        base.ps_shards = 2;
-        base.warmup_iters = 1;
-        base.check_invariants = true;
-        let golden = run_cluster(&base, SIM_ITERS);
-        let horizon = Duration::from_nanos(golden.duration.as_nanos());
-        let profile = ChaosProfile::corruption(base.workers, base.ps_shards, horizon, SIM_ITERS);
-        let mut gen = ChaosGen::new(seed);
-
-        let mut violations = 0usize;
+    lineup_sweep(&mut out, &CELL, seed, budget, |kind, records| {
         let mut frames: Vec<u64> = Vec::new();
         let mut fallbacks_total = 0u64;
         let mut depth_total = 0u64;
-        for _ in 0..budget {
-            let plan = gen.next_plan(&profile);
-            let mut corrupted = base.clone();
-            corrupted.fault_plan = plan.clone();
-            let outcome = run_sim_checked(&corrupted, SIM_ITERS);
-            let rerun = run_sim_checked(&corrupted, SIM_ITERS);
-            let verdict = check_corruption_plan(&golden, &outcome, &rerun, &oracle);
-            if !verdict.ok() {
-                violations += 1;
-                eprintln!(
-                    "[ext_integrity] {label}: contract violation: {:?}\nplan: {plan:?}",
-                    verdict.violations
-                );
-            }
-            if let Ok(r) = &outcome {
-                frames.push(r.fault_stats.frames_corrupted);
-                fallbacks_total += r.elastic.restore_fallbacks;
-                depth_total += r.elastic.fallback_depth;
-            }
+        for (s, e) in records.iter().filter_map(|r| r.counters.as_ref()) {
+            frames.push(s.frames_corrupted);
+            fallbacks_total += e.restore_fallbacks;
+            depth_total += e.fallback_depth;
         }
-
         let legs = threaded_legs(kind);
-        out.row(vec![
-            label,
-            budget.to_string(),
-            violations.to_string(),
+        vec![
             median(&mut frames, |f| f.to_string()),
             fallbacks_total.to_string(),
             depth_total.to_string(),
@@ -121,8 +82,8 @@ pub fn run_integrity(seed: u64, budget: usize) -> ExperimentOutput {
             format!("{:.1}", legs.nack_bytes as f64 / 1024.0),
             legs.fallback_depth.to_string(),
             format!("{}/2", legs.bit_identical),
-        ]);
-    }
+        ]
+    });
     out.notes = format!(
         "Seed {seed}, {budget} corruption plans per strategy, each run twice \
          (the second run is the deterministic-detection replay; any counter \

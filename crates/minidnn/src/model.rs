@@ -144,16 +144,20 @@ impl Mlp {
         panic!("parameter tensor {id} out of range");
     }
 
-    /// Classification accuracy on `(x, labels)`.
+    /// Classification accuracy on `(x, labels)`. A row with any non-finite
+    /// logit has no meaningful argmax and counts as a miss.
     pub fn accuracy(&mut self, x: &Tensor, labels: &[usize]) -> f64 {
         let logits = self.forward(x);
         let mut correct = 0usize;
         for (r, &label) in labels.iter().enumerate() {
             let row = logits.row(r);
+            if !row.iter().all(|v| v.is_finite()) {
+                continue;
+            }
             let pred = row
                 .iter()
                 .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
                 .map(|(i, _)| i)
                 .unwrap();
             if pred == label {
@@ -206,6 +210,17 @@ mod tests {
         let new_bias = vec![1.5f32; 8];
         m.set_param(1, &new_bias);
         assert_eq!(m.param_slices()[1], &new_bias[..]);
+    }
+
+    #[test]
+    fn nan_poisoned_model_has_zero_accuracy() {
+        let mut m = Mlp::new(&[4, 8, 3], 7);
+        for id in 0..m.num_tensors() {
+            let poison = vec![f32::NAN; m.tensor_sizes()[id]];
+            m.set_param(id, &poison);
+        }
+        let x = Tensor::from_vec(3, 4, vec![0.5; 12]);
+        assert_eq!(m.accuracy(&x, &[0, 1, 2]), 0.0);
     }
 
     #[test]

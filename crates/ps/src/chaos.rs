@@ -1,30 +1,20 @@
-//! Safety/liveness oracles for chaos search over the fault layer.
+//! The chaos oracle and plan sweep.
 //!
-//! A chaos run takes a [`FaultPlan`] sampled by `prophet_sim::ChaosGen`,
-//! plays it through the discrete-event cluster, and asks four questions:
-//!
-//! 1. **safety** — did the run panic? Every cross-stack invariant violation
-//!    (and every internal `assert!`) surfaces as a panic, which
-//!    [`run_sim_checked`] converts into an `Err` instead of tearing the
-//!    search down.
-//! 2. **liveness** — did the run finish within a budgeted multiple of its
-//!    fault-free twin's simulated duration? Retries and replays cost time;
-//!    unbounded slowdown means a retry loop or a stalled barrier.
-//! 3. **ledger** — do the extra wire bytes of the faulted run reconcile
-//!    with the recorded waste (`extra = wasted + replayed`, the sandwich
-//!    `tests/prop_fault_retry.rs` establishes, exact when `replays == 0`)?
-//! 4. **no stuck-degraded** — once the last fault has cleared (plus a
-//!    grace period), Prophet's conservative degraded mode must have exited;
-//!    a scheduler that never recovers its planned mode has silently turned
-//!    into FIFO for the rest of the job.
+//! A chaos run plays a [`FaultPlan`] sampled by `prophet_sim::ChaosGen`
+//! through the discrete-event cluster twice. [`check_plan`] judges both
+//! runs against the fault-free golden with one rule set for every fault
+//! profile, each rule switched on by the plan's content. [`sweep`] is the
+//! one sample-run-judge-shrink loop behind every chaos search.
 //!
 //! The oracle never inspects the plan's *intent* — any valid plan must pass.
 //! "Degraded mode actually engages under sustained faults" is therefore not
 //! checked here (a gentle plan legitimately never trips it); a dedicated
 //! crafted-plan test covers that direction.
 
-use crate::sim::{run_cluster, ClusterConfig, RunResult};
-use prophet_sim::{Duration, FaultPlan, SimTime};
+use crate::sim::{run_cluster, ClusterConfig, ElasticStats, FaultStats, RunResult};
+use prophet_sim::{
+    plan_to_rust, shrink, ChaosGen, ChaosProfile, Duration, FaultPlan, KindMask, SimTime,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Budgets the oracle judges a chaos run against.
@@ -92,17 +82,35 @@ pub fn run_sim_checked(cfg: &ClusterConfig, iters: u64) -> Result<RunResult, Str
 
 /// Judge one chaos run against its fault-free golden.
 ///
-/// `golden` must come from the *same* configuration with an empty
-/// [`FaultPlan`]; `outcome` is the faulted run as produced by
-/// [`run_sim_checked`]; `plan` is the plan that faulted it (used to locate
-/// the last fault window for the stuck-degraded check).
+/// `golden` is the same configuration run with an empty [`FaultPlan`];
+/// `outcome` and `rerun` are two runs under `plan`, as produced by
+/// [`run_sim_checked`]. Every message starts with its rule's name:
+///
+/// | rule | fires when | active |
+/// |------|------------|--------|
+/// | safety | the run panicked (every invariant violation is a panic) | always |
+/// | liveness | slowdown over `liveness_multiple`, or iterations short | always |
+/// | accounting | epochs ≠ evictions + joins + shard deaths; a shard death with no restore bytes or recovery time; an epoch with no re-plan; a join with no bootstrap bytes | always |
+/// | integrity | corrupt frames with no retry; a fallback restore with no corrupt snapshot; fallback depth below the fallback count | always |
+/// | recovery-contract | the replay's `duration`, `iter_times`, `fault_stats` or `elastic` differ | always |
+/// | ledger | extra wire bytes outside `[wasted, wasted + retried]`, exact with no replays | transient plans |
+/// | stuck-degraded | Prophet still degraded `degraded_grace` after the last window | transient plans |
+///
+/// Accounting and integrity hold trivially on plans without permanent or
+/// corruption faults. The last two rules are off for such plans: lost work,
+/// restores, bootstraps and whole-slice retransmits move bytes the
+/// transient sandwich cannot reconcile, and a membership epoch taints
+/// Prophet's estimates at an iteration boundary, not inside a window.
+///
+/// That no corrupt byte reaches the model is checked on the threaded
+/// engine, where real bytes flow, by [`check_threaded_bit_identity`].
 pub fn check_plan(
     golden: &RunResult,
     outcome: &Result<RunResult, String>,
+    rerun: &Result<RunResult, String>,
     plan: &FaultPlan,
     budget: &OracleBudget,
 ) -> PlanVerdict {
-    let mut violations = Vec::new();
     let r = match outcome {
         Err(msg) => {
             return PlanVerdict {
@@ -112,65 +120,127 @@ pub fn check_plan(
         }
         Ok(r) => r,
     };
+    let mut violations = Vec::new();
+    macro_rules! rule {
+        ($fired:expr, $($msg:tt)+) => {
+            if $fired {
+                violations.push(format!($($msg)+));
+            }
+        };
+    }
+    let (s, e) = (&r.fault_stats, &r.elastic);
 
     let slowdown = r.duration.as_nanos() as f64 / (golden.duration.as_nanos().max(1)) as f64;
-    if slowdown > budget.liveness_multiple {
-        violations.push(format!(
-            "liveness: faulted run took {slowdown:.2}x the fault-free duration \
-             (budget {:.2}x)",
-            budget.liveness_multiple
-        ));
-    }
-    if r.iterations != golden.iterations {
-        violations.push(format!(
-            "liveness: completed {} iterations, golden completed {}",
-            r.iterations, golden.iterations
-        ));
+    rule!(
+        slowdown > budget.liveness_multiple,
+        "liveness: faulted run took {slowdown:.2}x the fault-free duration (budget {:.2}x)",
+        budget.liveness_multiple
+    );
+    rule!(
+        r.iterations != golden.iterations,
+        "liveness: completed {} iterations, golden completed {}",
+        r.iterations,
+        golden.iterations
+    );
+
+    rule!(
+        e.epochs != e.evicted_workers + e.joined_workers + e.failed_shards,
+        "accounting: {} epochs != {} evictions + {} joins + {} shard deaths",
+        e.epochs,
+        e.evicted_workers,
+        e.joined_workers,
+        e.failed_shards
+    );
+    let dead = e.failed_shards;
+    rule!(
+        dead > 0 && e.restore_bytes == 0,
+        "accounting: {dead} shard deaths restored zero bytes"
+    );
+    rule!(
+        dead > 0 && e.recovery_ns == 0,
+        "accounting: {dead} shard deaths with zero measured recovery time"
+    );
+    rule!(
+        e.epochs > 0 && e.replans == 0,
+        "accounting: {} membership epochs forced zero re-plans",
+        e.epochs
+    );
+    rule!(
+        e.joined_workers > 0 && e.bootstrap_bytes == 0,
+        "accounting: {} joins moved zero bootstrap bytes",
+        e.joined_workers
+    );
+
+    rule!(
+        s.frames_corrupted > 0 && s.retries == 0,
+        "integrity: {} corrupt frames detected but zero retransmissions",
+        s.frames_corrupted
+    );
+    rule!(
+        e.restore_fallbacks > 0 && e.corrupt_snapshots == 0,
+        "integrity: {} fallback restores with zero corrupt snapshots on record",
+        e.restore_fallbacks
+    );
+    rule!(
+        e.fallback_depth < e.restore_fallbacks,
+        "integrity: fallback depth {} below fallback count {}",
+        e.fallback_depth,
+        e.restore_fallbacks
+    );
+
+    if !plan.has_permanent() && !plan.has_corruption() {
+        // Extra wire volume = recorded waste + replayed slices, a subset of
+        // `retried_bytes`; the slop absorbs sub-message rounding.
+        const SLOP: f64 = 64.0;
+        let extra = s.wire_bytes - golden.fault_stats.wire_bytes;
+        let waste = s.wasted_bytes;
+        rule!(
+            extra < waste - SLOP,
+            "ledger: extra wire bytes {extra:.1} below recorded waste {waste:.1}"
+        );
+        rule!(
+            extra > waste + s.retried_bytes as f64 + SLOP,
+            "ledger: extra wire bytes {extra:.1} exceed waste {waste:.1} + retransmissions {}",
+            s.retried_bytes
+        );
+        rule!(
+            s.replays == 0 && (extra - waste).abs() > SLOP,
+            "ledger: no replays, yet extra wire bytes {extra:.1} != waste {waste:.1}"
+        );
+        let last_fault_end = plan.faults.iter().map(|f| f.until()).max();
+        let last_fault_end = last_fault_end.unwrap_or(SimTime::ZERO);
+        rule!(
+            r.degraded_transitions.last().is_some_and(|&(_, d)| d)
+                && last_fault_end + budget.degraded_grace < r.duration,
+            "stuck-degraded: still degraded at end of run ({:?}), last fault cleared at {:?}",
+            r.duration,
+            last_fault_end
+        );
     }
 
-    // Byte ledger: extra wire volume = recorded waste + replayed slices.
-    // Replayed bytes are a subset of `retried_bytes`, giving the sandwich
-    // (with a small slop for sub-message rounding) that is exact when
-    // nothing was replayed.
-    let s = &r.fault_stats;
-    let extra = s.wire_bytes - golden.fault_stats.wire_bytes;
-    const SLOP: f64 = 64.0;
-    if extra < s.wasted_bytes - SLOP {
-        violations.push(format!(
-            "ledger: extra wire bytes {extra:.1} below recorded waste {:.1}",
-            s.wasted_bytes
-        ));
-    }
-    if extra > s.wasted_bytes + s.retried_bytes as f64 + SLOP {
-        violations.push(format!(
-            "ledger: extra wire bytes {extra:.1} exceed waste {:.1} + \
-             retransmissions {}",
-            s.wasted_bytes, s.retried_bytes
-        ));
-    }
-    if s.replays == 0 && (extra - s.wasted_bytes).abs() > SLOP {
-        violations.push(format!(
-            "ledger: no replays, yet extra wire bytes {extra:.1} != waste {:.1}",
-            s.wasted_bytes
-        ));
-    }
-
-    // Stuck-degraded: if the scheduler's last sampled state is degraded,
-    // the last fault window (plus grace) must still be in the recent past —
-    // otherwise Prophet never re-armed its planned mode.
-    if r.degraded_transitions.last().is_some_and(|&(_, d)| d) {
-        let last_fault_end = plan
-            .faults
-            .iter()
-            .map(|f| f.until())
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        if last_fault_end + budget.degraded_grace < r.duration {
-            violations.push(format!(
-                "stuck-degraded: still degraded at end of run ({:?}), last \
-                 fault cleared at {:?}",
-                r.duration, last_fault_end
-            ));
+    match rerun {
+        Err(msg) => violations.push(format!("recovery-contract: replay panicked: {msg}")),
+        Ok(r2) => {
+            rule!(
+                r2.duration != r.duration,
+                "recovery-contract: replay duration {:?} != {:?}",
+                r2.duration,
+                r.duration
+            );
+            rule!(
+                r2.iter_times != r.iter_times,
+                "recovery-contract: replay iteration times diverged"
+            );
+            rule!(
+                r2.fault_stats != *s,
+                "recovery-contract: replay fault counters diverged: {:?} != {s:?}",
+                r2.fault_stats
+            );
+            rule!(
+                r2.elastic != *e,
+                "recovery-contract: replay elastic counters diverged: {:?} != {e:?}",
+                r2.elastic
+            );
         }
     }
 
@@ -180,241 +250,81 @@ pub fn check_plan(
     }
 }
 
-/// Judge one *churn* (permanent-fault) chaos run.
-///
-/// Permanent plans change what the byte ledger and the degraded-mode clock
-/// even mean, so this oracle replaces [`check_plan`]'s ledger and
-/// stuck-degraded checks rather than layering on top of them:
-///
-/// - **ledger** — skipped. Lost work at shard death, checkpoint restores,
-///   and joiner bootstraps all move wire bytes in ways the transient
-///   sandwich (`extra = wasted + replayed`) cannot reconcile.
-/// - **stuck-degraded** — skipped. A membership epoch taints estimates at
-///   an *iteration* boundary, not inside a wall-clock fault window, so the
-///   "last window + grace" clock has nothing to anchor to. Prophet is
-///   legitimately degraded right up to the end of a short run that churns
-///   near its tail.
-///
-/// In their place it checks:
-///
-/// 1. **safety** — the run must not panic (invariant violations surface
-///    here, exactly as in [`check_plan`]).
-/// 2. **liveness** — every surviving worker finishes the full iteration
-///    count within `budget.liveness_multiple` of the fault-free golden.
-/// 3. **accounting** — the elastic counters must be internally consistent:
-///    one epoch per membership change, and a failed shard implies a
-///    non-trivial recovery (bytes restored, recovery time measured).
-/// 4. **deterministic recovery** — the recovery contract from the issue:
-///    replaying the identical plan must reproduce the run bit-for-bit
-///    (duration, per-iteration times, elastic counters). Pass the second
-///    run of the same configuration as `rerun`.
-pub fn check_churn_plan(
-    golden: &RunResult,
-    outcome: &Result<RunResult, String>,
-    rerun: &Result<RunResult, String>,
-    budget: &OracleBudget,
-) -> PlanVerdict {
-    let mut violations = Vec::new();
-    let r = match outcome {
-        Err(msg) => {
-            return PlanVerdict {
-                violations: vec![format!("safety: run panicked: {msg}")],
-                slowdown: f64::INFINITY,
-            }
-        }
-        Ok(r) => r,
-    };
+/// One sampled plan of a [`sweep`] and how it fared.
+#[derive(Debug, Clone)]
+pub struct PlanRecord {
+    /// The plan as sampled.
+    pub plan: FaultPlan,
+    /// The oracle's judgement of the plan's run and replay.
+    pub verdict: PlanVerdict,
+    /// The faulted run's fault and elastic counters; `None` when it panicked.
+    pub counters: Option<(FaultStats, ElasticStats)>,
+    /// On a violation, the minimal plan [`shrink`] found that still violates.
+    pub shrunk: Option<FaultPlan>,
+}
 
-    let slowdown = r.duration.as_nanos() as f64 / (golden.duration.as_nanos().max(1)) as f64;
-    if slowdown > budget.liveness_multiple {
-        violations.push(format!(
-            "liveness: churn run took {slowdown:.2}x the fault-free duration \
-             (budget {:.2}x)",
-            budget.liveness_multiple
-        ));
-    }
-    if r.iterations != golden.iterations {
-        violations.push(format!(
-            "liveness: completed {} iterations, golden completed {}",
-            r.iterations, golden.iterations
-        ));
-    }
-
-    let e = &r.elastic;
-    if e.epochs != e.evicted_workers + e.joined_workers + e.failed_shards {
-        violations.push(format!(
-            "accounting: {} epochs != {} evictions + {} joins + {} shard deaths",
-            e.epochs, e.evicted_workers, e.joined_workers, e.failed_shards
-        ));
-    }
-    if e.failed_shards > 0 {
-        if e.restore_bytes == 0 {
-            violations.push(format!(
-                "accounting: {} shard deaths restored zero bytes",
-                e.failed_shards
-            ));
+impl PlanRecord {
+    /// The violations, the plan, and the shrunk reproducer rendered as
+    /// pinned-test source, for a failure message.
+    pub fn report(&self) -> String {
+        let mut msg = format!("{:?}\nplan: {:?}", self.verdict.violations, self.plan);
+        if let Some(small) = &self.shrunk {
+            msg += &format!("\nshrunk reproducer:\n{}", plan_to_rust(small));
         }
-        if e.recovery_ns == 0 {
-            violations.push(format!(
-                "accounting: {} shard deaths with zero measured recovery time",
-                e.failed_shards
-            ));
-        }
-    }
-    if e.epochs > 0 && e.replans == 0 {
-        violations.push(format!(
-            "accounting: {} membership epochs forced zero re-plans",
-            e.epochs
-        ));
-    }
-    if e.joined_workers > 0 && e.bootstrap_bytes == 0 {
-        violations.push(format!(
-            "accounting: {} joins moved zero bootstrap bytes",
-            e.joined_workers
-        ));
-    }
-
-    match rerun {
-        Err(msg) => violations.push(format!("recovery-contract: replay panicked: {msg}")),
-        Ok(r2) => {
-            if r2.duration != r.duration {
-                violations.push(format!(
-                    "recovery-contract: replay duration {:?} != {:?}",
-                    r2.duration, r.duration
-                ));
-            }
-            if r2.iter_times != r.iter_times {
-                violations.push("recovery-contract: replay iteration times diverged".to_string());
-            }
-            if r2.elastic != r.elastic {
-                violations.push(format!(
-                    "recovery-contract: replay elastic counters diverged: {:?} != {:?}",
-                    r2.elastic, r.elastic
-                ));
-            }
-        }
-    }
-
-    PlanVerdict {
-        violations,
-        slowdown,
+        msg
     }
 }
 
-/// Judge one *silent-corruption* chaos run.
-///
-/// Corruption plans keep the transient byte ledger meaningless for the
-/// same reason churn plans do (detected frames retransmit whole slices,
-/// fallback restores replay longer ledger suffixes), so like
-/// [`check_churn_plan`] this oracle replaces the ledger check with
-/// integrity accounting:
-///
-/// 1. **safety** — the run must not panic. Every "corrupt byte reached the
-///    accumulator or the restored parameters" hazard in the simulator is an
-///    internal assertion (CRC-verified restores, checker rules), so it
-///    surfaces here.
-/// 2. **liveness** — detection and retransmission cost time, but bounded:
-///    the run finishes every iteration within the liveness multiple.
-/// 3. **integrity accounting** —
-///    * a detected corrupt frame without a single retry means a damaged
-///      payload was dropped on the floor instead of recovered;
-///    * a fallback restore without a corrupted snapshot (or a fallback
-///      count exceeding its total depth) means the generation walk
-///      miscounted.
-/// 4. **deterministic detection** — replaying the identical plan must
-///    reproduce the run bit-for-bit, *including* every fault and elastic
-///    counter: detection is part of the deterministic contract, not noise.
-///
-/// The byte-level half of the issue's oracle — "no corrupt byte ever
-/// reaches the accumulator or restored params" — is checked on the
-/// threaded engine, where real bytes flow, by
-/// [`check_threaded_bit_identity`].
-pub fn check_corruption_plan(
+/// Run `base` under `plan` twice and judge the pair against `golden`.
+fn judge(
+    base: &ClusterConfig,
     golden: &RunResult,
-    outcome: &Result<RunResult, String>,
-    rerun: &Result<RunResult, String>,
+    iters: u64,
+    plan: &FaultPlan,
     budget: &OracleBudget,
-) -> PlanVerdict {
-    let mut violations = Vec::new();
-    let r = match outcome {
-        Err(msg) => {
-            return PlanVerdict {
-                violations: vec![format!("safety: run panicked: {msg}")],
-                slowdown: f64::INFINITY,
-            }
-        }
-        Ok(r) => r,
-    };
+) -> (Result<RunResult, String>, PlanVerdict) {
+    let mut cfg = base.clone();
+    cfg.fault_plan = plan.clone();
+    let outcome = run_sim_checked(&cfg, iters);
+    let rerun = run_sim_checked(&cfg, iters);
+    let verdict = check_plan(golden, &outcome, &rerun, plan, budget);
+    (outcome, verdict)
+}
 
-    let slowdown = r.duration.as_nanos() as f64 / (golden.duration.as_nanos().max(1)) as f64;
-    if slowdown > budget.liveness_multiple {
-        violations.push(format!(
-            "liveness: corruption run took {slowdown:.2}x the fault-free duration \
-             (budget {:.2}x)",
-            budget.liveness_multiple
-        ));
-    }
-    if r.iterations != golden.iterations {
-        violations.push(format!(
-            "liveness: completed {} iterations, golden completed {}",
-            r.iterations, golden.iterations
-        ));
-    }
-
-    let s = &r.fault_stats;
-    if s.frames_corrupted > 0 && s.retries == 0 {
-        violations.push(format!(
-            "integrity: {} corrupt frames detected but zero retransmissions \
-             — damaged payloads were dropped, not recovered",
-            s.frames_corrupted
-        ));
-    }
-    let e = &r.elastic;
-    if e.restore_fallbacks > 0 && e.corrupt_snapshots == 0 {
-        violations.push(format!(
-            "integrity: {} fallback restores with zero corrupt snapshots on record",
-            e.restore_fallbacks
-        ));
-    }
-    if e.fallback_depth < e.restore_fallbacks {
-        violations.push(format!(
-            "integrity: fallback depth {} below fallback count {} \
-             (every fallback skips at least one generation)",
-            e.fallback_depth, e.restore_fallbacks
-        ));
-    }
-
-    match rerun {
-        Err(msg) => violations.push(format!("recovery-contract: replay panicked: {msg}")),
-        Ok(r2) => {
-            if r2.duration != r.duration {
-                violations.push(format!(
-                    "recovery-contract: replay duration {:?} != {:?}",
-                    r2.duration, r.duration
-                ));
+/// The chaos search: run `base` fault-free for the golden, then sample
+/// `plans` plans from `kinds` with a [`ChaosGen`] seeded by `seed`, judge
+/// each one's run and replay with [`check_plan`], and [`shrink`] every
+/// violating plan to a minimal reproducer. The profile's horizon is the
+/// golden's duration, so every generated window can land mid-run.
+pub fn sweep(
+    base: &ClusterConfig,
+    iters: u64,
+    kinds: KindMask,
+    seed: u64,
+    plans: usize,
+    budget: &OracleBudget,
+) -> Vec<PlanRecord> {
+    let golden = run_cluster(base, iters);
+    let horizon = Duration::from_nanos(golden.duration.as_nanos());
+    let profile = ChaosProfile::new(kinds, base.workers, base.ps_shards, horizon, iters);
+    let mut gen = ChaosGen::new(seed);
+    (0..plans)
+        .map(|_| {
+            let plan = gen.next_plan(&profile);
+            let (outcome, verdict) = judge(base, &golden, iters, &plan, budget);
+            let shrunk = (!verdict.ok()).then(|| {
+                shrink(&plan, |cand| {
+                    !judge(base, &golden, iters, cand, budget).1.ok()
+                })
+            });
+            PlanRecord {
+                counters: outcome.ok().map(|r| (r.fault_stats, r.elastic)),
+                plan,
+                verdict,
+                shrunk,
             }
-            if r2.iter_times != r.iter_times {
-                violations.push("recovery-contract: replay iteration times diverged".to_string());
-            }
-            if r2.fault_stats != r.fault_stats {
-                violations.push(format!(
-                    "recovery-contract: replay fault counters diverged: {:?} != {:?}",
-                    r2.fault_stats, r.fault_stats
-                ));
-            }
-            if r2.elastic != r.elastic {
-                violations.push(format!(
-                    "recovery-contract: replay elastic counters diverged: {:?} != {:?}",
-                    r2.elastic, r.elastic
-                ));
-            }
-        }
-    }
-
-    PlanVerdict {
-        violations,
-        slowdown,
-    }
+        })
+        .collect()
 }
 
 /// The byte-level integrity oracle, threaded engine: under *any*
@@ -476,7 +386,6 @@ pub fn check_threaded_bit_identity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{ElasticStats, FaultStats};
     use prophet_core::SchedulerKind;
     use prophet_dnn::TrainingJob;
     use prophet_sim::{FaultSpec, TraceRecorder};
@@ -504,37 +413,55 @@ mod tests {
         ])
     }
 
+    /// Run `plan` twice on the FIFO cell with `shards` PS shards and judge
+    /// the pair against the cell's fault-free golden.
+    fn judge_cell(
+        shards: usize,
+        iters: u64,
+        plan: FaultPlan,
+        budget: &OracleBudget,
+    ) -> (Result<RunResult, String>, PlanVerdict) {
+        let mut base = cell(SchedulerKind::Fifo);
+        base.ps_shards = shards;
+        judge(&base, &run_cluster(&base, iters), iters, &plan, budget)
+    }
+
+    /// Judge a synthetic run and replay against a synthetic 1 s golden,
+    /// with liveness headroom so the synthetic durations never trip it.
+    fn judge_synthetic(run: &RunResult, rerun: &RunResult, plan: &FaultPlan) -> PlanVerdict {
+        let budget = OracleBudget {
+            liveness_multiple: 1e9,
+            ..OracleBudget::paper_default()
+        };
+        let golden = synthetic(1_000, vec![]);
+        check_plan(&golden, &Ok(run.clone()), &Ok(rerun.clone()), plan, &budget)
+    }
+
+    /// How many of the verdict's violations mention `rule`.
+    fn fired(verdict: &PlanVerdict, rule: &str) -> usize {
+        verdict
+            .violations
+            .iter()
+            .filter(|v| v.contains(rule))
+            .count()
+    }
+
     #[test]
     fn clean_plan_passes_every_oracle() {
-        let base = cell(SchedulerKind::Fifo);
-        let golden = run_cluster(&base, 3);
-        let mut faulted = base.clone();
-        faulted.fault_plan = storm();
-        let outcome = run_sim_checked(&faulted, 3);
-        let verdict = check_plan(
-            &golden,
-            &outcome,
-            &faulted.fault_plan,
-            &OracleBudget::paper_default(),
-        );
+        let (_, verdict) = judge_cell(1, 3, storm(), &OracleBudget::paper_default());
         assert!(verdict.ok(), "violations: {:?}", verdict.violations);
         assert!(verdict.slowdown >= 1.0, "slowdown {}", verdict.slowdown);
     }
 
     #[test]
     fn broken_liveness_budget_fires() {
-        let base = cell(SchedulerKind::Fifo);
-        let golden = run_cluster(&base, 3);
-        let mut faulted = base.clone();
-        faulted.fault_plan = storm();
-        let outcome = run_sim_checked(&faulted, 3);
         let budget = OracleBudget {
             liveness_multiple: 1.0,
             ..OracleBudget::paper_default()
         };
-        let verdict = check_plan(&golden, &outcome, &faulted.fault_plan, &budget);
+        let (_, verdict) = judge_cell(1, 3, storm(), &budget);
         assert!(
-            verdict.violations.iter().any(|v| v.contains("liveness")),
+            fired(&verdict, "liveness") > 0,
             "expected a liveness violation: {:?}",
             verdict.violations
         );
@@ -549,6 +476,7 @@ mod tests {
         let golden = run_cluster(&cell(SchedulerKind::Fifo), 3);
         let verdict = check_plan(
             &golden,
+            &outcome,
             &outcome,
             &FaultPlan::empty(),
             &OracleBudget::paper_default(),
@@ -602,14 +530,7 @@ mod tests {
 
     #[test]
     fn clean_churn_plan_passes_every_oracle() {
-        let mut base = cell(SchedulerKind::Fifo);
-        base.ps_shards = 2;
-        let golden = run_cluster(&base, 6);
-        let mut churned = base.clone();
-        churned.fault_plan = churn();
-        let outcome = run_sim_checked(&churned, 6);
-        let rerun = run_sim_checked(&churned, 6);
-        let verdict = check_churn_plan(&golden, &outcome, &rerun, &OracleBudget::paper_default());
+        let (_, verdict) = judge_cell(2, 6, churn(), &OracleBudget::paper_default());
         assert!(verdict.ok(), "violations: {:?}", verdict.violations);
         assert!(verdict.slowdown.is_finite());
     }
@@ -619,20 +540,16 @@ mod tests {
         let mut base = cell(SchedulerKind::Fifo);
         base.ps_shards = 2;
         let golden = run_cluster(&base, 6);
-        let mut churned = base.clone();
-        churned.fault_plan = churn();
-        let outcome = run_sim_checked(&churned, 6);
+        base.fault_plan = churn();
+        let outcome = run_sim_checked(&base, 6);
         // A replay from a *different* seed is a stand-in for a
         // nondeterministic recovery path: timings diverge.
-        let mut other = churned.clone();
-        other.seed ^= 0xDEAD;
-        let rerun = run_sim_checked(&other, 6);
-        let verdict = check_churn_plan(&golden, &outcome, &rerun, &OracleBudget::paper_default());
+        base.seed ^= 0xDEAD;
+        let rerun = run_sim_checked(&base, 6);
+        let budget = OracleBudget::paper_default();
+        let verdict = check_plan(&golden, &outcome, &rerun, &churn(), &budget);
         assert!(
-            verdict
-                .violations
-                .iter()
-                .any(|v| v.contains("recovery-contract")),
+            fired(&verdict, "recovery-contract") > 0,
             "{:?}",
             verdict.violations
         );
@@ -640,28 +557,14 @@ mod tests {
 
     #[test]
     fn churn_oracle_catches_inconsistent_accounting() {
-        let budget = OracleBudget {
-            liveness_multiple: 1e9,
-            ..OracleBudget::paper_default()
-        };
-        let golden = synthetic(1_000, vec![]);
         let mut broken = synthetic(1_000, vec![]);
         broken.elastic.failed_shards = 1;
         broken.elastic.epochs = 1;
         broken.elastic.replans = 2;
         // A shard died but nothing was restored and no recovery time was
         // measured: two accounting violations.
-        let verdict = check_churn_plan(&golden, &Ok(broken.clone()), &Ok(broken), &budget);
-        assert_eq!(
-            verdict
-                .violations
-                .iter()
-                .filter(|v| v.contains("accounting"))
-                .count(),
-            2,
-            "{:?}",
-            verdict.violations
-        );
+        let verdict = judge_synthetic(&broken, &broken, &churn());
+        assert_eq!(fired(&verdict, "accounting"), 2, "{:?}", verdict.violations);
     }
 
     fn corruption() -> FaultPlan {
@@ -684,15 +587,7 @@ mod tests {
 
     #[test]
     fn clean_corruption_plan_passes_every_oracle() {
-        let mut base = cell(SchedulerKind::Fifo);
-        base.ps_shards = 2;
-        let golden = run_cluster(&base, 6);
-        let mut corrupted = base.clone();
-        corrupted.fault_plan = corruption();
-        let outcome = run_sim_checked(&corrupted, 6);
-        let rerun = run_sim_checked(&corrupted, 6);
-        let verdict =
-            check_corruption_plan(&golden, &outcome, &rerun, &OracleBudget::paper_default());
+        let (outcome, verdict) = judge_cell(2, 6, corruption(), &OracleBudget::paper_default());
         assert!(verdict.ok(), "violations: {:?}", verdict.violations);
         let r = outcome.unwrap();
         assert!(
@@ -704,38 +599,20 @@ mod tests {
 
     #[test]
     fn corruption_oracle_catches_inconsistent_accounting() {
-        let budget = OracleBudget {
-            liveness_multiple: 1e9,
-            ..OracleBudget::paper_default()
-        };
-        let golden = synthetic(1_000, vec![]);
         let mut broken = synthetic(1_000, vec![]);
         // Detected frames with no retransmission, and a fallback restore
         // with no corrupt snapshot on record: two integrity violations.
         broken.fault_stats.frames_corrupted = 3;
         broken.elastic.restore_fallbacks = 1;
         broken.elastic.fallback_depth = 1;
-        let verdict =
-            check_corruption_plan(&golden, &Ok(broken.clone()), &Ok(broken.clone()), &budget);
-        assert_eq!(
-            verdict
-                .violations
-                .iter()
-                .filter(|v| v.contains("integrity"))
-                .count(),
-            2,
-            "{:?}",
-            verdict.violations
-        );
+        let verdict = judge_synthetic(&broken, &broken, &corruption());
+        assert_eq!(fired(&verdict, "integrity"), 2, "{:?}", verdict.violations);
         // A replay whose detection counters drift is a contract violation.
         let mut drifted = broken.clone();
         drifted.fault_stats.frames_corrupted = 4;
-        let verdict = check_corruption_plan(&golden, &Ok(broken), &Ok(drifted), &budget);
+        let verdict = judge_synthetic(&broken, &drifted, &corruption());
         assert!(
-            verdict
-                .violations
-                .iter()
-                .any(|v| v.contains("recovery-contract")),
+            fired(&verdict, "recovery-contract") > 0,
             "{:?}",
             verdict.violations
         );
@@ -757,13 +634,6 @@ mod tests {
 
     #[test]
     fn stuck_degraded_after_grace_fires() {
-        // Only the degraded oracle is under test; give liveness headroom so
-        // the synthetic durations don't trip it.
-        let budget = OracleBudget {
-            liveness_multiple: 1e9,
-            ..OracleBudget::paper_default()
-        };
-        let golden = synthetic(1_000, vec![]);
         let at = SimTime::ZERO + Duration::from_millis(50);
         let plan = FaultPlan::new(vec![FaultSpec::LinkDown {
             node: 1,
@@ -772,27 +642,57 @@ mod tests {
         }]);
         // Still degraded 30 s after the fault cleared: stuck.
         let stuck = synthetic(30_000, vec![(at, true)]);
-        let verdict = check_plan(&golden, &Ok(stuck), &plan, &budget);
+        let verdict = judge_synthetic(&stuck, &stuck, &plan);
         assert!(
-            verdict
-                .violations
-                .iter()
-                .any(|v| v.contains("stuck-degraded")),
+            fired(&verdict, "stuck-degraded") > 0,
             "{:?}",
             verdict.violations
         );
         // Degraded at end but within grace of the fault window: fine.
         let recovering = synthetic(10_000, vec![(at, true)]);
-        let verdict = check_plan(&golden, &Ok(recovering), &plan, &budget);
-        assert!(
-            !verdict.violations.iter().any(|v| v.contains("degraded")),
-            "{:?}",
-            verdict.violations
-        );
+        let verdict = judge_synthetic(&recovering, &recovering, &plan);
+        assert_eq!(fired(&verdict, "degraded"), 0, "{:?}", verdict.violations);
         // Recovered before the end: fine at any duration.
         let t2 = at + Duration::from_millis(500);
         let healthy = synthetic(30_000, vec![(at, true), (t2, false)]);
-        let verdict = check_plan(&golden, &Ok(healthy), &plan, &budget);
+        let verdict = judge_synthetic(&healthy, &healthy, &plan);
         assert!(verdict.ok(), "{:?}", verdict.violations);
+        // A churn plan switches the rule off: membership epochs leave no
+        // wall-clock window for the grace clock to anchor to.
+        let verdict = judge_synthetic(&stuck, &stuck, &churn());
+        assert!(verdict.ok(), "{:?}", verdict.violations);
+    }
+
+    #[test]
+    fn ledger_rule_fires_for_transient_plans_only() {
+        // 10 kB of extra wire volume with no waste or retransmission on
+        // record: the transient sandwich cannot reconcile it.
+        let mut unledgered = synthetic(1_000, vec![]);
+        unledgered.fault_stats.wire_bytes = 10_000.0;
+        let verdict = judge_synthetic(&unledgered, &unledgered, &storm());
+        assert!(fired(&verdict, "ledger:") > 0, "{:?}", verdict.violations);
+        // Restores and bootstraps move bytes the sandwich does not model,
+        // so a churn plan leaves the ledger unjudged.
+        let verdict = judge_synthetic(&unledgered, &unledgered, &churn());
+        assert!(verdict.ok(), "{:?}", verdict.violations);
+    }
+
+    #[test]
+    fn replay_fault_counter_drift_fires_under_every_profile() {
+        // Replay determinism covers the fault counters whatever kinds the
+        // plan holds, not only under corruption.
+        let mut first = synthetic(1_000, vec![]);
+        first.fault_stats.retries = 1;
+        let mut drifted = first.clone();
+        drifted.fault_stats.retries = 2;
+        for plan in [storm(), churn(), corruption()] {
+            let verdict = judge_synthetic(&first, &drifted, &plan);
+            assert_eq!(
+                fired(&verdict, "replay fault counters diverged"),
+                1,
+                "{plan:?}: {:?}",
+                verdict.violations
+            );
+        }
     }
 }

@@ -24,8 +24,8 @@ pub mod sim;
 pub mod threaded;
 
 pub use chaos::{
-    check_churn_plan, check_corruption_plan, check_plan, check_threaded_bit_identity,
-    run_sim_checked, OracleBudget, PlanVerdict,
+    check_plan, check_threaded_bit_identity, run_sim_checked, sweep, OracleBudget, PlanRecord,
+    PlanVerdict,
 };
 pub use sim::{run_cluster, ClusterConfig, ElasticStats, GradTransferLog, RunResult, SyncMode};
 pub use threaded::{run_threaded_training, PsOptimizer, ThreadedConfig, ThreadedResult};

@@ -125,45 +125,28 @@ pub struct ChaosProfile {
     /// are iteration-indexed, so their `at_iter` is derived from the drawn
     /// start time mapped onto `1..iters`. Below 2, permanent kinds are
     /// silently ineligible (there is no iteration boundary to change
-    /// membership at), which is why the transient-only [`Self::for_cluster`]
-    /// profile leaves this at zero.
+    /// membership at).
     pub iters: u64,
 }
 
 impl ChaosProfile {
-    /// A profile matching a cluster shape, all transient kinds enabled, unit
-    /// intensity. Byte-identical plan streams to the pre-churn generator.
-    pub fn for_cluster(workers: usize, ps_shards: usize, horizon: Duration) -> Self {
+    /// A unit-intensity profile sampling `kinds` against a cluster of
+    /// `workers` workers and `ps_shards` PS shards, running `iters` BSP
+    /// iterations whose fault-free duration is `horizon`.
+    ///
+    /// `iters` consumes no RNG draw: it only gates and places the
+    /// iteration-indexed kinds, so a transient-only mask yields the same
+    /// plan stream for every `iters`.
+    pub fn new(
+        kinds: KindMask,
+        workers: usize,
+        ps_shards: usize,
+        horizon: Duration,
+        iters: u64,
+    ) -> Self {
         ChaosProfile {
             intensity: 1.0,
-            kinds: KindMask::ALL,
-            horizon,
-            workers,
-            ps_shards,
-            iters: 0,
-        }
-    }
-
-    /// The membership-churn profile: every kind enabled, transient *and*
-    /// permanent, against a run of `iters` BSP iterations.
-    pub fn churn(workers: usize, ps_shards: usize, horizon: Duration, iters: u64) -> Self {
-        ChaosProfile {
-            intensity: 1.0,
-            kinds: KindMask::EVERYTHING,
-            horizon,
-            workers,
-            ps_shards,
-            iters,
-        }
-    }
-
-    /// The silent-corruption profile: payload and checkpoint corruption
-    /// plus permanent shard failure (so corrupted snapshots actually get
-    /// restored from), against a run of `iters` BSP iterations.
-    pub fn corruption(workers: usize, ps_shards: usize, horizon: Duration, iters: u64) -> Self {
-        ChaosProfile {
-            intensity: 1.0,
-            kinds: KindMask::CORRUPTION,
+            kinds,
             horizon,
             workers,
             ps_shards,
@@ -606,7 +589,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn profile() -> ChaosProfile {
-        ChaosProfile::for_cluster(2, 1, Duration::from_millis(500))
+        ChaosProfile::new(KindMask::ALL, 2, 1, Duration::from_millis(500), 0)
     }
 
     #[test]
@@ -814,7 +797,7 @@ mod tests {
 
     #[test]
     fn churn_profile_covers_permanent_kinds_within_constraints() {
-        let p = ChaosProfile::churn(4, 2, Duration::from_millis(500), 12);
+        let p = ChaosProfile::new(KindMask::EVERYTHING, 4, 2, Duration::from_millis(500), 12);
         let mut gen = ChaosGen::new(21);
         let mut seen: HashSet<FaultKind> = HashSet::new();
         for _ in 0..300 {
@@ -838,7 +821,7 @@ mod tests {
     fn churn_with_tiny_iteration_horizon_degrades_to_transient_only() {
         // With fewer than 2 iterations there is no boundary to change
         // membership at, so permanent kinds are ineligible...
-        let mut p = ChaosProfile::churn(4, 2, Duration::from_millis(500), 1);
+        let mut p = ChaosProfile::new(KindMask::EVERYTHING, 4, 2, Duration::from_millis(500), 1);
         let mut gen = ChaosGen::new(3);
         for _ in 0..50 {
             for f in &gen.next_plan(&p).faults {
@@ -858,17 +841,24 @@ mod tests {
     fn churn_stream_is_unchanged_for_transient_profiles() {
         // The churn extension must not perturb pre-churn plan streams: the
         // seed-42 golden (asserted in `golden_first_plan_for_seed_42`) plus
-        // this cross-check that `for_cluster` ignores the new machinery.
+        // this cross-check that a transient mask ignores the new machinery,
+        // whatever iteration horizon the profile names.
         let transient = profile();
         let mut a = ChaosGen::new(42);
         let plan = a.next_plan(&transient);
         assert!(plan.faults.iter().all(|f| !f.is_permanent()));
         assert!(!plan.has_permanent());
+        let mut with_iters = transient.clone();
+        with_iters.iters = 6;
+        let (mut a, mut b) = (ChaosGen::new(42), ChaosGen::new(42));
+        for _ in 0..32 {
+            assert_eq!(a.next_plan(&transient), b.next_plan(&with_iters));
+        }
     }
 
     #[test]
     fn corruption_profile_covers_its_kinds_within_constraints() {
-        let p = ChaosProfile::corruption(4, 3, Duration::from_millis(500), 12);
+        let p = ChaosProfile::new(KindMask::CORRUPTION, 4, 3, Duration::from_millis(500), 12);
         let mut gen = ChaosGen::new(17);
         let mut seen: HashSet<FaultKind> = HashSet::new();
         for _ in 0..300 {
@@ -911,7 +901,7 @@ mod tests {
         // Below 2 iterations the iteration-indexed kinds (ShardFail and
         // CheckpointCorrupt) have no boundary to fire at; only the windowed
         // PayloadCorrupt remains eligible.
-        let p = ChaosProfile::corruption(4, 3, Duration::from_millis(500), 1);
+        let p = ChaosProfile::new(KindMask::CORRUPTION, 4, 3, Duration::from_millis(500), 1);
         let mut gen = ChaosGen::new(5);
         for _ in 0..50 {
             for f in &gen.next_plan(&p).faults {

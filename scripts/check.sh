@@ -25,18 +25,12 @@ if [[ "$tier" == "all" || "$tier" == "debug" ]]; then
     echo "==> cargo test (debug tier)"
     cargo test --offline -q
 
-    echo "==> chaos smoke (seed 42, 2 plans per strategy)"
-    # PROPHET_RESULTS_DIR: don't clobber the committed 200-plan artifact.
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline -q -p prophet-bench --bin repro -- ext_chaos 42 2 > /dev/null
-
-    echo "==> elastic churn smoke (seed 42, 2 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline -q -p prophet-bench --bin repro -- ext_elastic 42 2 > /dev/null
-
-    echo "==> integrity corruption smoke (seed 42, 2 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline -q -p prophet-bench --bin repro -- ext_integrity 42 2 > /dev/null
+    # PROPHET_RESULTS_DIR: don't clobber the committed 200-plan artifacts.
+    for sweep in ext_chaos ext_elastic ext_integrity; do
+        echo "==> $sweep smoke (seed 42, 2 plans per strategy)"
+        PROPHET_RESULTS_DIR="$(mktemp -d)" \
+            cargo run --offline -q -p prophet-bench --bin repro -- "$sweep" 42 2 > /dev/null
+    done
 
     echo "==> bench smoke (criterion --test mode, no artifacts)"
     # Single-sample pass over the first scale point: compiles the bench
@@ -57,22 +51,17 @@ if [[ "$tier" == "all" || "$tier" == "release" ]]; then
     echo "==> cargo test --release (full tier)"
     # --lib/--bins/--tests: `--include-ignored` must not reach doctests
     # (vendored crates mark non-compiling examples `ignore`); doctests
-    # already ran in the debug tier. This tier also picks up the fuller
-    # chaos sweep (full scheduler lineup x 25 plans) behind its
+    # already ran in the debug tier. This tier also picks up the full
+    # chaos sweeps in tests/chaos_search.rs (transient, churn, corruption
+    # and all-ten-kinds, across the scheduler lineup) behind their
     # `#[cfg_attr(debug_assertions, ignore)]` gates.
     cargo test --offline --release -q --lib --bins --tests -- --include-ignored
 
-    echo "==> chaos sweep (seed 42, 50 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline --release -q -p prophet-bench --bin repro -- ext_chaos 42 50 > /dev/null
-
-    echo "==> elastic churn sweep (seed 42, 50 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline --release -q -p prophet-bench --bin repro -- ext_elastic 42 50 > /dev/null
-
-    echo "==> integrity corruption sweep (seed 42, 50 plans per strategy)"
-    PROPHET_RESULTS_DIR="$(mktemp -d)" \
-        cargo run --offline --release -q -p prophet-bench --bin repro -- ext_integrity 42 50 > /dev/null
+    for sweep in ext_chaos ext_elastic ext_integrity; do
+        echo "==> $sweep sweep (seed 42, 50 plans per strategy)"
+        PROPHET_RESULTS_DIR="$(mktemp -d)" \
+            cargo run --offline --release -q -p prophet-bench --bin repro -- "$sweep" 42 50 > /dev/null
+    done
 fi
 
 echo "==> OK ($tier)"

@@ -10,8 +10,7 @@ use prophet::dnn::TrainingJob;
 use prophet::minidnn::{Adam, Dataset, Mlp, Sgd};
 use prophet::ps::sim::{run_cluster, ClusterConfig};
 use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig};
-use prophet::ps::{check_churn_plan, run_sim_checked, OracleBudget};
-use prophet::sim::{ChaosGen, ChaosProfile, Duration, FaultPlan, FaultSpec};
+use prophet::sim::{FaultPlan, FaultSpec};
 
 // ---------------------------------------------------------------------------
 // Threaded runtime: bit-exact parity with a membership-aware reference
@@ -313,7 +312,8 @@ fn threaded_checkpoint_cadence_trades_restore_bytes() {
 }
 
 // ---------------------------------------------------------------------------
-// Simulator: completion, determinism, and the chaos sweep
+// Simulator: completion and determinism (the churn sweep lives with the
+// other chaos sweeps in `chaos_search.rs`)
 // ---------------------------------------------------------------------------
 
 fn sim_cell(kind: SchedulerKind) -> ClusterConfig {
@@ -396,48 +396,4 @@ fn sim_churn_replays_bit_identically() {
         );
         assert_eq!(a.elastic, b.elastic, "{label}: elastic counters diverged");
     }
-}
-
-/// The acceptance sweep: >= 200 churn plans x the 4-scheduler lineup, every
-/// plan judged by the safety/liveness/accounting/recovery-contract oracles,
-/// zero violations tolerated. Release tier only — the debug tier runs the
-/// same loop at a smoke budget below.
-fn churn_sweep(plans_per_scheduler: usize) {
-    let budget = OracleBudget::paper_default();
-    for kind in SchedulerKind::paper_lineup(1.25e9) {
-        let label = kind.label().to_string();
-        let base = sim_cell(kind);
-        let golden = run_cluster(&base, 6);
-        let horizon = Duration::from_nanos(golden.duration.as_nanos());
-        let profile = ChaosProfile::churn(base.workers, base.ps_shards, horizon, 6);
-        let mut gen = ChaosGen::new(0xE1A5);
-        for i in 0..plans_per_scheduler {
-            let plan = gen.next_plan(&profile);
-            let mut churned = base.clone();
-            churned.fault_plan = plan.clone();
-            let outcome = run_sim_checked(&churned, 6);
-            let rerun = run_sim_checked(&churned, 6);
-            let verdict = check_churn_plan(&golden, &outcome, &rerun, &budget);
-            assert!(
-                verdict.ok(),
-                "{label}: plan {i} violated the recovery contract: {:?}\nplan: {:?}",
-                verdict.violations,
-                plan
-            );
-        }
-    }
-}
-
-#[test]
-fn churn_sweep_smoke() {
-    churn_sweep(5);
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "release-tier: 200 plans x 4 schedulers x 2 runs"
-)]
-fn churn_sweep_full() {
-    churn_sweep(200);
 }

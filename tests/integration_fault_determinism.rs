@@ -80,8 +80,8 @@ fn intensity_zero_chaos_profile_is_provably_inert() {
     // RNG draw, so a chaos run configured with it must hit the engine's
     // fault-free fast path and reproduce the pre-fault-layer goldens to the
     // nanosecond — not merely "be statistically similar".
-    use prophet::sim::{ChaosGen, ChaosProfile};
-    let mut profile = ChaosProfile::for_cluster(2, 1, Duration::from_millis(500));
+    use prophet::sim::{ChaosGen, ChaosProfile, KindMask};
+    let mut profile = ChaosProfile::new(KindMask::ALL, 2, 1, Duration::from_millis(500), 0);
     profile.intensity = 0.0;
     let plan = ChaosGen::new(42).next_plan(&profile);
     assert_eq!(plan, FaultPlan::empty());
