@@ -25,11 +25,18 @@
 //! mostly measures that drift. Pairing cancels it; alternating the order
 //! cancels any first-runner advantage within a round.
 //!
+//! `pull_pipelining_deep_prophet_over_fifo` is paired the same way: a
+//! message-bound deep stack (`[64; 33] + [10]`, 66 tensors of at most
+//! 16 KB, 4 workers / 2 shards) under Prophet and under FIFO. FIFO keeps
+//! one pull in flight; Prophet streams pulls up to its credit, so the
+//! ratio measures how much the runtime lets the scheduler overlap pull
+//! round trips.
+//!
 //! Run `cargo bench --bench threaded` for the real sweep; `-- --test`
 //! runs a single-sample smoke on the small model with no artifact.
 
 use criterion::{criterion_group, criterion_main, stats_to_json, Criterion};
-use prophet::core::SchedulerKind;
+use prophet::core::{ProphetConfig, SchedulerKind};
 use prophet::ps::threaded::{run_threaded_training, PsOptimizer, ThreadedConfig, ThreadedResult};
 use std::time::Instant;
 
@@ -44,6 +51,12 @@ pub const SEED_BASELINE_8W_VGG_ITERS_PER_SEC: f64 = 0.798;
 /// Iteration counts for the difference quotient.
 const LO: u64 = 2;
 const HI: u64 = 8;
+
+/// Iteration counts for the deep cell. A deep iteration takes a few
+/// milliseconds, so the quotient needs hundreds of them; starting at 60
+/// puts Prophet's planned mode (it profiles for 50) in the steady state.
+const DEEP_LO: u64 = 60;
+const DEEP_HI: u64 = 260;
 
 /// A VGG-proportioned dense stack: a few multi-megabyte tensors plus
 /// their small biases (~6.3 M parameters, 25 MB). With one sample per
@@ -71,6 +84,21 @@ fn vgg_cfg(workers: usize, shards: usize) -> ThreadedConfig {
         fault_plan: Default::default(),
         retry: prophet::net::RetryPolicy::paper_default(),
         agg_threads: 0,
+    }
+}
+
+/// The message-bound deep stack: 66 tensors of at most 16 KB, 4 workers /
+/// 2 shards, 4 samples per worker.
+fn deep_cfg(scheduler: SchedulerKind) -> ThreadedConfig {
+    let mut widths = vec![64; 33];
+    widths.push(10);
+    ThreadedConfig {
+        widths,
+        samples: 64,
+        global_batch: 16,
+        lr: 0.01,
+        scheduler,
+        ..vgg_cfg(4, 2)
     }
 }
 
@@ -118,57 +146,77 @@ fn phase_vec(r: &ThreadedResult) -> [u64; 11] {
     v
 }
 
-/// One steady-state sample: wall-clock difference quotient over LO/HI
-/// runs, plus the per-phase attribution (ns per iteration) computed with
-/// the same quotient — warm-up effects cancel out of the spans exactly as
-/// they cancel out of the wall clock.
-fn steady_iters_per_sec(cfg: &ThreadedConfig) -> (f64, [f64; 11]) {
-    let mut lo = cfg.clone();
-    lo.iterations = LO;
-    let mut hi = cfg.clone();
-    hi.iterations = HI;
-    let t0 = Instant::now();
-    let r_lo = run_threaded_training(&lo);
-    let t_lo = t0.elapsed();
-    let t1 = Instant::now();
-    let r_hi = run_threaded_training(&hi);
-    let t_hi = t1.elapsed();
+/// One steady-state sample: wall-clock difference quotient over `lo`/`hi`
+/// iteration runs, plus the per-phase attribution (ns per iteration)
+/// computed with the same quotient — warm-up effects cancel out of the
+/// spans exactly as they cancel out of the wall clock.
+fn steady_iters_per_sec(cfg: &ThreadedConfig, lo: u64, hi: u64) -> (f64, [f64; 11]) {
+    let run = |iterations| {
+        let cfg = ThreadedConfig {
+            iterations,
+            ..cfg.clone()
+        };
+        let t = Instant::now();
+        let r = run_threaded_training(&cfg);
+        (t.elapsed(), phase_vec(&r))
+    };
+    let (t_lo, p_lo) = run(lo);
+    let (t_hi, p_hi) = run(hi);
     let dt = t_hi.saturating_sub(t_lo).as_secs_f64().max(1e-9);
-    let (p_lo, p_hi) = (phase_vec(&r_lo), phase_vec(&r_hi));
     let mut phases = [0f64; 11];
     for i in 0..11 {
-        phases[i] = p_hi[i].saturating_sub(p_lo[i]) as f64 / (HI - LO) as f64;
+        phases[i] = p_hi[i].saturating_sub(p_lo[i]) as f64 / (hi - lo) as f64;
     }
-    ((HI - LO) as f64 / dt, phases)
+    ((hi - lo) as f64 / dt, phases)
 }
 
-/// Median of per-round paired 4-shard/1-shard throughput ratios (see the
-/// module doc for why the ratio must be paired rather than taken from
-/// the cell medians). Odd `rounds` keeps the median a real sample.
-fn paired_shard_scaling(rounds: usize) -> f64 {
-    let cfg_1s = vgg_cfg(8, 1);
-    let cfg_4s = vgg_cfg(8, 4);
-    let mut ratios = Vec::with_capacity(rounds);
+/// A paired comparison of cell `b` against cell `a`: the median of the
+/// per-round throughput ratios `b / a`, plus each cell's median rate.
+struct Paired {
+    ratio: f64,
+    a: f64,
+    b: f64,
+}
+
+/// Run `a` and `b` back-to-back in each of `rounds` rounds over the
+/// `(lo, hi)` iteration window (see the module doc for why ratios must be
+/// paired rather than taken from cell medians). Odd `rounds` keeps every
+/// median a real sample.
+fn paired(
+    label: &str,
+    a: &ThreadedConfig,
+    b: &ThreadedConfig,
+    (lo, hi): (u64, u64),
+    rounds: usize,
+) -> Paired {
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (mut ra, mut rb) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
     for round in 0..rounds {
         // Alternate which cell runs first so any within-round warm-up or
         // cool-down advantage hits both cells equally across rounds.
-        let (r_1s, r_4s) = if round % 2 == 0 {
-            let a = steady_iters_per_sec(&cfg_1s).0;
-            let b = steady_iters_per_sec(&cfg_4s).0;
-            (a, b)
+        let (x, y) = if round % 2 == 0 {
+            let x = steady_iters_per_sec(a, lo, hi).0;
+            (x, steady_iters_per_sec(b, lo, hi).0)
         } else {
-            let b = steady_iters_per_sec(&cfg_4s).0;
-            let a = steady_iters_per_sec(&cfg_1s).0;
-            (a, b)
+            let y = steady_iters_per_sec(b, lo, hi).0;
+            (steady_iters_per_sec(a, lo, hi).0, y)
         };
         println!(
-            "  scaling round {round}: 1s {r_1s:.3}  4s {r_4s:.3}  ratio {:.4}",
-            r_4s / r_1s
+            "  {label} round {round}: {x:.3}  vs  {y:.3}  ratio {:.4}",
+            y / x
         );
-        ratios.push(r_4s / r_1s);
+        ra.push(x);
+        rb.push(y);
     }
-    ratios.sort_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
+    let ratios = ra.iter().zip(&rb).map(|(x, y)| y / x).collect();
+    Paired {
+        ratio: median(ratios),
+        a: median(ra),
+        b: median(rb),
+    }
 }
 
 fn bench_threaded(c: &mut Criterion) {
@@ -197,7 +245,7 @@ fn bench_threaded(c: &mut Criterion) {
         let mut samples: Vec<(f64, [f64; 11])> = Vec::new();
         g.bench_function(id, |b| {
             b.iter(|| {
-                let (r, phases) = steady_iters_per_sec(cfg);
+                let (r, phases) = steady_iters_per_sec(cfg, LO, HI);
                 samples.push((r, phases));
                 r
             })
@@ -221,9 +269,21 @@ fn bench_threaded(c: &mut Criterion) {
     if quick {
         return;
     }
-    println!("  paired shard-scaling rounds (8 workers, 4s vs 1s):");
-    let scaling = paired_shard_scaling(5);
+    println!("  paired shard-scaling rounds (8 workers, 1s vs 4s):");
+    let scaling = paired("scaling", &vgg_cfg(8, 1), &vgg_cfg(8, 4), (LO, HI), 5).ratio;
     println!("  shard_scaling_8w_4s_over_1s: {scaling:.4} (median of 5 paired rounds)");
+    println!("  paired pull-pipelining rounds (deep 4w/2s, fifo vs prophet):");
+    let deep = paired(
+        "deep",
+        &deep_cfg(SchedulerKind::Fifo),
+        &deep_cfg(SchedulerKind::Prophet(ProphetConfig::paper_default(1.25e9))),
+        (DEEP_LO, DEEP_HI),
+        5,
+    );
+    println!(
+        "  pull_pipelining_deep_prophet_over_fifo: {:.4} (median of 5 paired rounds)",
+        deep.ratio
+    );
     let rate = |id: &str| {
         rates
             .iter()
@@ -247,6 +307,9 @@ fn bench_threaded(c: &mut Criterion) {
                 rate("vgg_8w_4s") / SEED_BASELINE_8W_VGG_ITERS_PER_SEC,
             ),
             ("shard_scaling_8w_4s_over_1s", scaling),
+            ("iters_per_sec_deep_4w_2s_fifo", deep.a),
+            ("iters_per_sec_deep_4w_2s_prophet", deep.b),
+            ("pull_pipelining_deep_prophet_over_fifo", deep.ratio),
         ])
         // The per-phase attribution for the VGG cells: aggregate ns per
         // steady-state iteration per span, so every optimisation claim is

@@ -71,7 +71,7 @@ use super::wire::{
 };
 use bytes::{Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use prophet_core::{CommScheduler, Dir, SchedulerKind, ShardMap};
+use prophet_core::{CommScheduler, Dir, SchedulerKind, ShardMap, TransferTask};
 use prophet_minidnn::{Dataset, Mlp};
 use prophet_net::RetryPolicy;
 use prophet_sim::{
@@ -241,6 +241,11 @@ pub struct ThreadedResult {
     /// Payload bytes retransmitted in response to [`ToWorker::PushNack`]
     /// (targeted per-slice retransmits, re-sliced from the clean arena).
     pub nack_retransmit_bytes: u64,
+    /// The most pull tasks any one worker had in flight at any moment. The
+    /// scheduler alone paces pulls, so this is 1 for the one-at-a-time
+    /// strategies (FIFO, P3, TicTac, MG-WFBP) and up to the credit for
+    /// Prophet and ByteScheduler. A counter, not a knob.
+    pub peak_pull_tasks_in_flight: usize,
     /// Restores that fell back past ≥ 1 corrupted snapshot generation.
     pub restore_fallbacks: u64,
     /// Total corrupted generations skipped across all fallback restores.
@@ -948,6 +953,8 @@ struct WorkerOut {
     corrupt_frames: u64,
     /// Bytes retransmitted in response to shard NACKs.
     nack_bytes: u64,
+    /// Most pull tasks this worker ever had in flight at once.
+    peak_pulls: usize,
     phases: WorkerPhases,
 }
 
@@ -1177,6 +1184,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
     let mut corrupt_frames_detected = 0u64;
     let mut nan_quarantined = 0u64;
     let mut nack_retransmit_bytes = 0u64;
+    let mut peak_pull_tasks_in_flight = 0usize;
     let mut restore_fallbacks = 0u64;
     let mut fallback_depth = 0u64;
     let mut shard_phases: Vec<ShardPhases> = Vec::new();
@@ -1194,6 +1202,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         arena_recycles += out.arena_recycles;
         corrupt_frames_detected += out.corrupt_frames;
         nack_retransmit_bytes += out.nack_bytes;
+        peak_pull_tasks_in_flight = peak_pull_tasks_in_flight.max(out.peak_pulls);
         worker_phases.compute_ns += out.phases.compute_ns;
         worker_phases.encode_ns += out.phases.encode_ns;
         worker_phases.apply_ns += out.phases.apply_ns;
@@ -1258,6 +1267,7 @@ pub fn run_threaded_training(cfg: &ThreadedConfig) -> ThreadedResult {
         corrupt_frames_detected,
         nan_quarantined,
         nack_retransmit_bytes,
+        peak_pull_tasks_in_flight,
         restore_fallbacks,
         fallback_depth,
         shard_phases,
@@ -2342,16 +2352,24 @@ fn send_push_slice(
     faults.track(ctx.iter, grad, offset_elems, len_elems, epoch);
 }
 
-/// Issue tasks until the scheduler pauses. Pushes complete synchronously
-/// (blocking send, like P3's transport); at most one pull task is awaited
-/// at a time.
+/// A pull task on the wire and the `(grad, offset_elems)` windows whose
+/// replies it still awaits.
+type PullInFlight = (TransferTask, Vec<(usize, usize)>);
+
+/// Poll the scheduler until it returns `None` and put every task on the
+/// wire (engine protocol step 3, as the simulator's `pump` does). Pushes
+/// complete synchronously (blocking send, like P3's transport); pull
+/// requests go out at once and join `pulls`, so the scheduler alone
+/// bounds how many are in flight — FIFO-like strategies through their own
+/// one-at-a-time flag, credit-based ones up to their credit.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     ctx: &DriveCtx<'_>,
     sched: &mut Box<dyn CommScheduler>,
     push_sent: &mut [usize],
     pull_recv: &mut [usize],
-    inflight_pull: &mut Option<(prophet_core::TransferTask, usize)>,
+    pulls: &mut Vec<PullInFlight>,
+    peak_pulls: &mut usize,
     limiter: &mut RateLimiter,
     bytes_pushed: &mut u64,
     faults: &mut WorkerFaults,
@@ -2359,10 +2377,7 @@ fn drive(
     pool: &mut ArenaPool,
     tlog: &mut ThreadLog,
 ) {
-    while inflight_pull.is_none() {
-        let Some(task) = sched.next_task(now_since(ctx.epoch)) else {
-            break;
-        };
+    while let Some(task) = sched.next_task(now_since(ctx.epoch)) {
         match task.dir {
             Dir::Push => {
                 for &(g, b) in &task.pieces {
@@ -2391,7 +2406,7 @@ fn drive(
                 sched.task_done(now_since(ctx.epoch), &task);
             }
             Dir::Pull => {
-                let mut awaiting = 0usize;
+                let mut windows = Vec::with_capacity(task.pieces.len());
                 for &(g, b) in &task.pieces {
                     let elems = (b / 4) as usize;
                     if pull_recv[g] == 0 {
@@ -2410,13 +2425,26 @@ fn drive(
                             min_done: None,
                         })
                         .expect("ps shard hung up");
+                    windows.push((g, pull_recv[g]));
                     pull_recv[g] += elems;
-                    awaiting += 1;
                 }
-                *inflight_pull = Some((task, awaiting));
+                pulls.push((task, windows));
+                *peak_pulls = (*peak_pulls).max(pulls.len());
             }
         }
     }
+}
+
+/// Retire the landed pull window `key` and return its task once the task's
+/// last window has landed. Windows match by key, not by arrival order: a
+/// re-requested corrupt window lands after windows requested later.
+fn retire_pull_window(pulls: &mut Vec<PullInFlight>, key: (usize, usize)) -> Option<TransferTask> {
+    let t = pulls
+        .iter()
+        .position(|(_, win)| win.contains(&key))
+        .expect("pull data without request");
+    pulls[t].1.retain(|&k| k != key);
+    pulls[t].1.is_empty().then(|| pulls.remove(t).0)
 }
 
 /// Retransmit every tracked slice whose ack deadline has passed, one
@@ -2611,6 +2639,7 @@ fn worker_thread(
             arena_recycles: 0,
             corrupt_frames: 0,
             nack_bytes: 0,
+            peak_pulls: 0,
             phases: WorkerPhases::default(),
         };
     }
@@ -2711,8 +2740,10 @@ fn worker_thread(
     // Reusable per-iteration scratch: reset each iteration, never
     // reallocated.
     let mut push_sent = vec![0usize; n]; // elements already pushed
-    let mut pull_recv = vec![0usize; n];
-    let mut pulled = vec![false; n];
+    let mut pull_recv = vec![0usize; n]; // elements already requested
+    let mut pull_got = vec![0usize; n]; // elements already landed
+    let mut pulls: Vec<PullInFlight> = Vec::new();
+    let mut peak_pulls = 0usize;
     let mut param_ready_seen = vec![false; n];
     let mut attempts = vec![0u32; n];
     let mut grad_off = vec![0usize; n]; // byte offset of each tensor in the arena
@@ -2746,7 +2777,7 @@ fn worker_thread(
         }
         push_sent.fill(0);
         pull_recv.fill(0);
-        pulled.fill(false);
+        pull_got.fill(0);
         param_ready_seen.fill(false);
         attempts.fill(0);
         // The previous iteration's barriers released every staged slice of
@@ -2801,7 +2832,6 @@ fn worker_thread(
             ps_epochs: &ps_epochs,
         };
 
-        let mut inflight_pull: Option<(prophet_core::TransferTask, usize)> = None;
         for g in (0..n).rev() {
             tlog.emit(TraceEvent::GradReady {
                 worker: w,
@@ -2814,7 +2844,8 @@ fn worker_thread(
                 &mut sched,
                 &mut push_sent,
                 &mut pull_recv,
-                &mut inflight_pull,
+                &mut pulls,
+                &mut peak_pulls,
                 &mut limiter,
                 &mut bytes_pushed,
                 &mut faults,
@@ -2832,7 +2863,8 @@ fn worker_thread(
         // wakeups when nothing is due. With no tracked slices every event
         // that can unblock this loop arrives as a message, so the receive
         // blocks outright.
-        while !pulled.iter().all(|&p| p) {
+        let mut pulls_left = n;
+        while pulls_left > 0 {
             let t_wait = Instant::now();
             let msg = if faults.active {
                 let wait = match faults.unacked.iter().map(|u| u.deadline).min() {
@@ -3016,22 +3048,17 @@ fn worker_thread(
                         gate.release();
                     }
                     phases.apply_ns += t_apply.elapsed().as_nanos() as u64;
-                    let (task, awaiting) = inflight_pull.take().expect("pull data without request");
-                    if awaiting > 1 {
-                        inflight_pull = Some((task, awaiting - 1));
-                    } else {
+                    if let Some(task) = retire_pull_window(&mut pulls, (grad, offset_elems)) {
                         sched.task_done(now_since(epoch), &task);
-                        // Mark any tensor whose bytes are now complete.
-                        for &(g, _) in &task.pieces {
-                            if pull_recv[g] == tensor_elems[g] && !pulled[g] {
-                                pulled[g] = true;
-                                tlog.emit(TraceEvent::PullEnd {
-                                    worker: w,
-                                    iter,
-                                    grad: g,
-                                });
-                            }
-                        }
+                    }
+                    pull_got[grad] += data.len() / 4;
+                    if pull_got[grad] == tensor_elems[grad] {
+                        pulls_left -= 1;
+                        tlog.emit(TraceEvent::PullEnd {
+                            worker: w,
+                            iter,
+                            grad,
+                        });
                     }
                 }
                 Some(ToWorker::ShardRestarted { shard, epoch: e }) => {
@@ -3097,7 +3124,8 @@ fn worker_thread(
                 &mut sched,
                 &mut push_sent,
                 &mut pull_recv,
-                &mut inflight_pull,
+                &mut pulls,
+                &mut peak_pulls,
                 &mut limiter,
                 &mut bytes_pushed,
                 &mut faults,
@@ -3106,6 +3134,7 @@ fn worker_thread(
                 &mut tlog,
             );
         }
+        debug_assert!(pulls.is_empty(), "pull task outstanding at iteration end");
         let t_end = now_since(epoch);
         tlog.emit(TraceEvent::IterEnd { worker: w, iter });
         sched.iteration_end(t_end, iter, t_end.saturating_since(t_begin));
@@ -3132,6 +3161,7 @@ fn worker_thread(
         arena_recycles: pool.recycled,
         corrupt_frames,
         nack_bytes,
+        peak_pulls,
         phases,
     }
 }
@@ -3140,6 +3170,22 @@ fn worker_thread(
 mod tests {
     use super::*;
     use prophet_sim::Duration;
+
+    #[test]
+    fn pull_windows_retire_by_key_in_any_order() {
+        let slices = TransferTask::block(Dir::Pull, vec![(3, 256), (3, 256)]);
+        let whole = TransferTask::whole(Dir::Pull, 5, 64);
+        let mut pulls: Vec<PullInFlight> = vec![
+            (slices.clone(), vec![(3, 0), (3, 64)]),
+            (whole.clone(), vec![(5, 0)]),
+        ];
+        // The first slice of tensor 3 was corrupt and re-requested: the
+        // second slice and tensor 5 land before it.
+        assert_eq!(retire_pull_window(&mut pulls, (3, 64)), None);
+        assert_eq!(retire_pull_window(&mut pulls, (5, 0)), Some(whole));
+        assert_eq!(retire_pull_window(&mut pulls, (3, 0)), Some(slices));
+        assert!(pulls.is_empty());
+    }
 
     #[test]
     fn rate_limiter_unlimited_is_instant() {

@@ -7,7 +7,7 @@
 //! twin, on both engines. The simulator's corruption sweep lives with the
 //! other chaos sweeps in `chaos_search.rs`.
 
-use prophet::core::SchedulerKind;
+use prophet::core::{ByteSchedulerConfig, ProphetConfig, SchedulerKind};
 use prophet::net::RetryPolicy;
 use prophet::ps::check_threaded_bit_identity;
 use prophet::ps::threaded::{run_threaded_training, ThreadedConfig, ThreadedResult};
@@ -90,6 +90,51 @@ fn nack_retransmits_pay_for_corrupted_pushes() {
         "corrupted pushes were never NACK-retransmitted"
     );
     assert!(r.events_checked > 0, "checker not wired");
+}
+
+#[test]
+fn corrupt_pulls_recover_while_other_pulls_are_outstanding() {
+    // Credit-based schedulers stream pull slices, so a corrupt reply is
+    // re-requested while other windows — often slices of the same tensor —
+    // are still in flight. The re-requested window must stay outstanding,
+    // its task must finish only when it lands, and the model must come out
+    // bit-identical to the fault-free twin.
+    let prophet = ProphetConfig {
+        max_message_bytes: 256,
+        min_slice_bytes: 64,
+        ..ProphetConfig::paper_default(100e6)
+    };
+    let bytescheduler = ByteSchedulerConfig {
+        partition_bytes: 256,
+        ..ByteSchedulerConfig::default()
+    };
+    for kind in [
+        SchedulerKind::ProphetOracle(prophet),
+        SchedulerKind::ByteScheduler(bytescheduler),
+    ] {
+        for shards in [1, 2] {
+            let label = format!("{} {shards}s", kind.label());
+            // 34 tensors of up to 1 KiB: every weight pulls as 4 slices.
+            let mut cfg = ThreadedConfig::small(4, kind.clone());
+            cfg.ps_shards = shards;
+            cfg.widths = vec![16; 17];
+            cfg.widths.push(4);
+            cfg.global_batch = 32;
+            cfg.iterations = 8;
+            cfg.retry = fast_retry();
+            cfg.fault_plan = FaultPlan::new(vec![corruption_window(0.10)]);
+            let r = assert_bit_identical_to_fault_free(&cfg, &label);
+            assert!(
+                r.corrupt_frames_detected > 0,
+                "{label}: the corruption window never fired — vacuous run"
+            );
+            assert!(
+                r.peak_pull_tasks_in_flight > 1,
+                "{label}: pulls never overlapped — peak {}",
+                r.peak_pull_tasks_in_flight
+            );
+        }
+    }
 }
 
 #[test]

@@ -315,3 +315,58 @@ fn pushed_bytes_match_model_volume() {
         "gradient bytes on the wire do not match the model"
     );
 }
+
+/// A deep stack of small tensors (34 tensors of at most 1 KiB) on 4
+/// workers and 2 shards: message-bound, so pull pacing decides how many
+/// round trips overlap.
+fn deep_cfg(kind: SchedulerKind) -> ThreadedConfig {
+    let mut cfg = ThreadedConfig::small(4, kind);
+    cfg.ps_shards = 2;
+    cfg.widths = vec![16; 17];
+    cfg.widths.push(4);
+    cfg.global_batch = 32;
+    cfg.iterations = 12;
+    cfg
+}
+
+#[test]
+fn the_scheduler_alone_paces_pulls() {
+    // Engine protocol step 3: the worker puts every pull task the
+    // scheduler hands it on the wire at once. One-at-a-time strategies
+    // keep a single pull in flight through their own flag; credit-based
+    // ones stream several. Either way the model is the same bits.
+    let reference = run_threaded_training(&{
+        let mut cfg = deep_cfg(SchedulerKind::Fifo);
+        cfg.ps_shards = 1;
+        cfg
+    });
+    let mut kinds = SchedulerKind::paper_lineup(100e6);
+    kinds.push(SchedulerKind::TicTac);
+    kinds.push(SchedulerKind::MgWfbp { merge_bytes: 4096 });
+    for kind in kinds {
+        let label = kind.label();
+        let streams = matches!(
+            kind,
+            SchedulerKind::ByteScheduler(_) | SchedulerKind::ProphetOracle(_)
+        );
+        let cfg = deep_cfg(kind);
+        let r = run_threaded_training(&cfg);
+        if streams {
+            assert!(
+                r.peak_pull_tasks_in_flight > 1,
+                "{label}: credit never used — peak {} pull task(s) in flight",
+                r.peak_pull_tasks_in_flight
+            );
+        } else {
+            assert_eq!(
+                r.peak_pull_tasks_in_flight, 1,
+                "{label}: a self-paced scheduler had several pulls in flight"
+            );
+        }
+        assert_eq!(
+            r.final_params, reference.final_params,
+            "{label}: pulled model diverged from the single-shard FIFO run"
+        );
+        assert!(r.events_checked > 0, "{label}: checker not wired");
+    }
+}
